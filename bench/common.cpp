@@ -44,6 +44,15 @@ long parse_positive(const char* text, const char* flag, long max_value) {
   return v;
 }
 
+void print_usage(std::FILE* out, const char* program) {
+  std::fprintf(out,
+               "usage: %s [--scale N] [--seed N] [--quick] [--jobs N]\n"
+               "          [--record PATH] [--replay PATH] [--csv DIR]\n"
+               "          [--artifact-version 2|3] [--checkpoint WEEKS]\n"
+               "          [--resume] [--faults SPEC] [--mem-report]\n",
+               program);
+}
+
 }  // namespace
 
 Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
@@ -104,13 +113,13 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
     } else if (arg.rfind("--benchmark", 0) == 0) {
       // google-benchmark flags pass through untouched.
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--scale N] [--seed N] [--quick] [--jobs N]\n"
-          "          [--record PATH] [--replay PATH] [--csv DIR]\n"
-          "          [--artifact-version 2|3] [--checkpoint WEEKS]\n"
-          "          [--resume] [--faults SPEC] [--mem-report]\n",
-          argv[0]);
+      print_usage(stdout, argv[0]);
       std::exit(0);
+    } else {
+      // A mistyped flag must not quietly run the default study.
+      std::fprintf(stderr, "unknown flag: '%s'\n", arg.c_str());
+      print_usage(stderr, argv[0]);
+      std::exit(2);
     }
   }
   if (opt.resume && opt.record.empty()) {

@@ -71,8 +71,9 @@ struct Options {
 bool maybe_write_csv(const Options& opt, const std::string& name,
                      const util::CsvDocument& doc);
 
-/// Parses --scale/--seed/--quick; exits with usage on unknown flags
-/// (ignores google-benchmark style flags so mixed invocation works).
+/// Parses --scale/--seed/--quick and the engine flags; exits 2 with usage
+/// on unknown flags (google-benchmark style --benchmark* flags pass through
+/// so mixed invocation works).
 [[nodiscard]] Options parse_options(int argc, char** argv,
                                     std::uint32_t default_scale = 40);
 

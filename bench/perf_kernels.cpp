@@ -289,7 +289,9 @@ BENCHMARK(BM_ColumnarCodecBlockDecompress)->Arg(300000);
 void BM_ServerProbeRoundTrip(benchmark::State& state) {
   ntp::NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
-  cfg.sysvars.system = "linux";
+  ntp::SystemVariables vars;
+  vars.system = "linux";
+  cfg.set_sysvars(std::move(vars));
   ntp::NtpServer server(cfg);
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(state.range(0));
        ++i) {

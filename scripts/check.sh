@@ -25,6 +25,11 @@
 #      GORCOLv2 must land the v3 artifact at <=60% of the v2 bytes, with
 #      v3 replay stdout byte-identical to the live run at --jobs 1 and 3
 #      (DESIGN.md §3i).
+#   9. Version-probing gate: the four benches that send mode 6 READVAR
+#      probes (tab02, fig04a, fig04c, fig10) must print exactly their
+#      checked-in bench/golden/*.txt at --scale 400 --quick. World servers
+#      render READVAR variables on demand from a recipe (DESIGN.md §3g);
+#      this pins every rendered byte the figures depend on.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitizer passes (release build + tests + lint only)
@@ -168,6 +173,22 @@ compaction_gate() {
   rm -rf "$work"
 }
 
+# Version-probing gate (runs in --fast mode too: four benches at --scale
+# 400 take about a second together).
+readvar_gate() {
+  echo "== [readvar] version-probing benches vs bench/golden =="
+  local b
+  for b in tab02_os_strings fig04a_bytes_returned fig04c_version_baf \
+           fig10_remediation_compare; do
+    if ! "./build/release/bench/$b" --scale 400 --quick 2>/dev/null |
+        diff -u "bench/golden/$b.txt" -; then
+      echo "check.sh: FAIL — $b stdout differs from bench/golden/$b.txt" >&2
+      exit 1
+    fi
+  done
+  echo "   tab02/fig04a/fig04c/fig10 byte-identical to bench/golden"
+}
+
 if [[ "$fast" -eq 1 ]]; then
   echo "== [3/6] skipped (--fast) =="
   echo "== [4/6] skipped (--fast) =="
@@ -175,6 +196,7 @@ if [[ "$fast" -eq 1 ]]; then
   mem_gate
   replay_gate
   compaction_gate
+  readvar_gate
   echo "check.sh: OK (fast)"
   exit 0
 fi
@@ -195,4 +217,5 @@ ctest --preset tsan -j "$jobs"
 mem_gate
 replay_gate
 compaction_gate
+readvar_gate
 echo "check.sh: OK"

@@ -1,6 +1,7 @@
 #include "ntp/mode6.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <map>
 
@@ -62,18 +63,28 @@ ControlPacket make_version_request(std::uint16_t sequence) {
 }
 
 std::string SystemVariables::render() const {
-  char num[64];
+  // Appended piecewise into one reserved buffer: a world server renders
+  // this once per version probe (DESIGN.md §3g). to_chars with a precision
+  // formats exactly as printf's %.3f.
+  auto fixed3 = [](std::string& out, double value) {
+    char num[64];
+    const auto res = std::to_chars(num, num + sizeof num, value,
+                                   std::chars_format::fixed, 3);
+    out.append(num, res.ptr);
+  };
   std::string out;
-  out += "version=\"" + version + "\"";
-  out += ", processor=\"" + processor + "\"";
-  out += ", system=\"" + system + "\"";
-  std::snprintf(num, sizeof num, ", leap=%d, stratum=%d", leap, stratum);
-  out += num;
-  std::snprintf(num, sizeof num, ", rootdelay=%.3f, rootdisp=%.3f",
-                rootdelay_ms, rootdisp_ms);
-  out += num;
+  out.reserve(256 + version.size() + 32 * extras.size());
+  out.append("version=\"").append(version);
+  out.append("\", processor=\"").append(processor);
+  out.append("\", system=\"").append(system);
+  out.append("\", leap=").append(std::to_string(leap));
+  out.append(", stratum=").append(std::to_string(stratum));
+  out.append(", rootdelay=");
+  fixed3(out, rootdelay_ms);
+  out.append(", rootdisp=");
+  fixed3(out, rootdisp_ms);
   for (const auto& [key, value] : extras) {
-    out += ", " + key + "=" + value;
+    out.append(", ").append(key).append("=").append(value);
   }
   return out;
 }

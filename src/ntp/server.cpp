@@ -23,6 +23,17 @@ void account(ResponseSummary& summary, const net::UdpPacket& pkt,
 
 }  // namespace
 
+SystemVariables NtpServer::system_variables() const {
+  if (config_.sysvars_recipe) {
+    return render_system_variables(*config_.sysvars_recipe);
+  }
+  if (config_.sysvars) return *config_.sysvars;
+  SystemVariables defaults;
+  defaults.stratum = config_.stratum;
+  defaults.leap = config_.stratum == kStratumUnsynchronized ? 3 : 0;
+  return defaults;
+}
+
 net::UdpPacket NtpServer::make_reply(const net::UdpPacket& request,
                                      std::vector<std::uint8_t> payload,
                                      util::SimTime now) const {
@@ -74,8 +85,8 @@ ResponseSummary NtpServer::respond_time(const net::UdpPacket& request,
   TimePacket reply;
   reply.mode = Mode::kServer;
   reply.version = query ? query->version : 4;
-  reply.stratum = static_cast<std::uint8_t>(config_.sysvars.stratum);
-  reply.leap = config_.sysvars.stratum == kStratumUnsynchronized ? 3 : 0;
+  reply.stratum = static_cast<std::uint8_t>(config_.stratum);
+  reply.leap = config_.stratum == kStratumUnsynchronized ? 3 : 0;
   reply.origin_ts = query ? query->transmit_ts : 0;
   reply.receive_ts = ntp_timestamp(now);
   reply.transmit_ts = ntp_timestamp(now);
@@ -208,7 +219,7 @@ ResponseSummary NtpServer::respond_readvar(const net::UdpPacket& request,
   if (parsed.opcode != ControlOp::kReadVariables) return {};
 
   const auto fragments =
-      make_readvar_response(config_.sysvars, parsed.sequence);
+      make_readvar_response(system_variables(), parsed.sequence);
   std::vector<net::UdpPacket> one_send;
   std::uint64_t send_udp = 0, send_wire = 0;
   for (const auto& frag : fragments) {

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/packet.h"
@@ -22,6 +24,7 @@
 #include "ntp/mode7.h"
 #include "ntp/monlist.h"
 #include "ntp/ntp_packet.h"
+#include "ntp/sysinfo.h"
 
 namespace gorilla::ntp {
 
@@ -35,7 +38,16 @@ struct NtpServerConfig {
   bool monlist_enabled = true;
   /// False when mode 6 is also restricted.
   bool mode6_enabled = true;
-  SystemVariables sysvars;
+  /// Stratum of every reply (kStratumUnsynchronized answers with leap 3).
+  int stratum = 2;
+  /// READVAR identity. World servers carry only `sysvars_recipe` and
+  /// render their variables afresh for each version probe, so the detailed
+  /// tier holds no strings (DESIGN.md §3g). Hand-built servers (tests,
+  /// examples, tab03, perf_kernels) hold explicit variables out of line
+  /// via set_sysvars(). A server with neither answers default variables at
+  /// its stratum.
+  std::optional<SystemRecipe> sysvars_recipe;
+  std::shared_ptr<const SystemVariables> sysvars;
   /// Extra times the full response sequence repeats (0 = healthy). A value
   /// of n means the dump is sent n+1 times — the §3.4 loop fault.
   std::uint32_t loop_repeat = 0;
@@ -54,6 +66,13 @@ struct NtpServerConfig {
   /// KoD is 48 bytes where a dump is kilobytes, so the amplification is
   /// gone either way.
   bool kod_on_rate_limit = false;
+
+  /// Gives a hand-built server explicit READVAR variables; the reply
+  /// stratum follows them.
+  void set_sysvars(SystemVariables vars) {
+    stratum = vars.stratum;
+    sysvars = std::make_shared<const SystemVariables>(std::move(vars));
+  }
 };
 
 /// Exact accounting of one request's response, with bounded materialization.
@@ -87,6 +106,8 @@ class NtpServer {
   [[nodiscard]] const NtpServerConfig& config() const noexcept {
     return config_;
   }
+  /// The READVAR variable set, rendered from the recipe when there is one.
+  [[nodiscard]] SystemVariables system_variables() const;
   [[nodiscard]] MonitorTable& monitor() noexcept { return monitor_; }
   [[nodiscard]] const MonitorTable& monitor() const noexcept {
     return monitor_;

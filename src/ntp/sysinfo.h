@@ -8,9 +8,11 @@
 // This module samples server identities from those published distributions.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "ntp/mode6.h"
 #include "util/rng.h"
@@ -28,13 +30,29 @@ enum class SystemPool : std::uint8_t {
   kNonAmplifier,
 };
 
-/// (system string, probability) rows of Table 2 for a pool.
-[[nodiscard]] const std::vector<std::pair<std::string, double>>&
-system_string_distribution(SystemPool pool);
+/// Every distinct system string of the Table 2 pools, interned so a world
+/// server stores a one-byte id rather than a std::string.
+inline constexpr std::array<std::string_view, 13> kSystemNames = {
+    "cisco", "unix",     "linux",    "bsd", "junos",  "sun",    "darwin",
+    "vmkernel", "windows", "secureos", "qnx", "cygwin", "isilon",
+};
 
-/// Samples a system string from a pool's distribution.
-[[nodiscard]] std::string sample_system_string(SystemPool pool,
-                                               util::Rng& rng);
+/// The interned system string for an id from sample_system_id().
+[[nodiscard]] std::string_view system_name(std::uint8_t id);
+
+/// One (system string id, probability weight) row of Table 2.
+struct SystemWeight {
+  std::uint8_t id;
+  double weight;
+};
+
+/// The rows of Table 2 for a pool, in the paper's order.
+[[nodiscard]] std::span<const SystemWeight> system_string_distribution(
+    SystemPool pool);
+
+/// Samples a system string's interned id from a pool's distribution; one
+/// uniform01() draw, no allocation.
+[[nodiscard]] std::uint8_t sample_system_id(SystemPool pool, util::Rng& rng);
 
 /// Samples an ntpd compile year matching §3.3: 13% before 2004, 23% before
 /// 2010, 48% before 2011, 59% before 2012, 79% before 2013, rest 2013-14.
@@ -44,11 +62,79 @@ system_string_distribution(SystemPool pool);
 /// bulk at 2-3.
 [[nodiscard]] int sample_stratum(util::Rng& rng);
 
-/// Assembles the full READVAR variable set for a server identity.
-[[nodiscard]] SystemVariables make_system_variables(const std::string& system,
+/// Every random value behind one server's READVAR variables, in the order
+/// the generator draws them (DESIGN.md §3g). Fields past `terse` are drawn
+/// only by full ntpd installs, and those past `full` only by the half of
+/// them that dump daemon statistics.
+struct SystemVariableDraws {
+  int patch = 0;
+  int day = 0;
+  int month = 0;
+  int build = 0;
+  int point = 0;
+  double rootdelay_ms = 0.0;
+  double rootdisp_ms = 0.0;
+  std::array<int, 4> refid{};
+  int stamp_millis = 0;
+  int stamp_second = 0;
+  int stamp_minute = 0;
+  int stamp_hour = 0;
+  int stamp_day = 0;
+  int stamp_month = 0;
+  std::uint32_t stamp_fraction = 0;
+  std::uint32_t stamp_seconds = 0;
+  bool terse = false;
+  double offset = 0.0;
+  double sys_jitter = 0.0;
+  bool full = false;
+  std::int64_t peer = 0;
+  std::int64_t tc = 0;
+  double frequency = 0.0;
+  double clk_jitter = 0.0;
+  double clk_wander = 0.0;
+  /// ss_uptime, ss_reset, ss_received, ss_badformat, ss_declined,
+  /// ss_limited, ss_kodsent.
+  std::array<std::uint64_t, 7> stats{};
+};
+
+/// Draw step: makes every RNG call of a server's READVAR variables. Which
+/// calls happen depends only on `system` (network devices are terse) and on
+/// the draws themselves.
+[[nodiscard]] SystemVariableDraws draw_system_variables(
+    std::string_view system, util::Rng& rng);
+
+/// Render step: formats the draws into the READVAR variable set. Pure.
+[[nodiscard]] SystemVariables render_system_variables(
+    std::string_view system, int compile_year, int stratum,
+    const SystemVariableDraws& draws);
+
+/// Assembles the full READVAR variable set for a server identity now:
+/// render_system_variables(draw_system_variables(...)).
+[[nodiscard]] SystemVariables make_system_variables(std::string_view system,
                                                     int compile_year,
                                                     int stratum,
                                                     util::Rng& rng);
+
+/// A server identity that renders its READVAR variables on demand: the
+/// identity fields plus the RNG state at the start of the draw step. 40
+/// bytes, against about 1 KB of rendered strings.
+struct SystemRecipe {
+  util::Rng::State rng_state{};
+  std::uint16_t compile_year = 0;
+  std::uint8_t system_id = 0;
+  std::uint8_t stratum = 0;
+};
+static_assert(sizeof(SystemRecipe) == 40);
+
+/// Samples a server identity from `pool` and runs the draw step without
+/// rendering, advancing `rng` exactly as building the variables eagerly
+/// would.
+[[nodiscard]] SystemRecipe draw_system_recipe(SystemPool pool,
+                                              util::Rng& rng);
+
+/// Replays the recipe's draw step from its saved RNG state and renders.
+[[nodiscard]] SystemVariables render_system_variables(
+    const SystemRecipe& recipe);
 
 /// Extracts the four-digit compile year from a version string, or 0.
 [[nodiscard]] int extract_compile_year(const std::string& version_string);

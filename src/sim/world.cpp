@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "ntp/sysinfo.h"
 #include "sim/remediation.h"
@@ -22,7 +23,7 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-std::uint8_t initial_ttl_for_system(const std::string& system) noexcept {
+std::uint8_t initial_ttl_for_system(std::string_view system) noexcept {
   if (system == "cisco") return 255;
   if (system == "windows" || system == "cygwin") return 128;
   return 64;
@@ -288,11 +289,13 @@ void World::assign_detail_tier(util::Rng& rng) {
     const auto pool = t.mega ? ntp::SystemPool::kMega
                      : t.ever_amplifier ? ntp::SystemPool::kAllAmplifiers
                                         : ntp::SystemPool::kNonAmplifier;
-    const std::string system = ntp::sample_system_string(pool, detail_rng);
-    cfg.sysvars = ntp::make_system_variables(
-        system, ntp::sample_compile_year(detail_rng),
-        ntp::sample_stratum(detail_rng), detail_rng);
-    cfg.initial_ttl = initial_ttl_for_system(system);
+    // Only the draw step runs here: detail_rng advances exactly as if the
+    // variables were rendered, and each server renders them on demand.
+    const ntp::SystemRecipe recipe = ntp::draw_system_recipe(pool, detail_rng);
+    cfg.stratum = recipe.stratum;
+    cfg.initial_ttl =
+        initial_ttl_for_system(ntp::system_name(recipe.system_id));
+    cfg.sysvars_recipe = recipe;
     if (t.mega) {
       // §3.4's giants are specific boxes: the worst returned ~136 GB to one
       // probe, six exceeded 1 GB. The first few megas get that deterministic
@@ -313,6 +316,15 @@ void World::assign_detail_tier(util::Rng& rng) {
     t.detailed_index = static_cast<std::uint32_t>(detailed_.size());
     detailed_.emplace_back(std::move(cfg), &monitor_arena_);
   }
+  util::MemStats::instance().counter("sim.detailed").add(detailed_bytes());
+}
+
+World::~World() {
+  util::MemStats::instance().counter("sim.detailed").sub(detailed_bytes());
+}
+
+std::uint64_t World::detailed_bytes() const noexcept {
+  return detailed_.capacity() * sizeof(ntp::NtpServer);
 }
 
 ntp::NtpServer* World::detailed(std::uint32_t server_index) {

@@ -108,6 +108,7 @@ struct ServerTraits {
 class World {
  public:
   explicit World(const WorldConfig& config = {});
+  ~World();
 
   [[nodiscard]] const WorldConfig& config() const noexcept { return config_; }
   [[nodiscard]] const net::Registry& registry() const noexcept {
@@ -186,6 +187,9 @@ class World {
  private:
   void build_population(util::Rng& rng);
   void assign_detail_tier(util::Rng& rng);
+  /// The detailed tier's server vector, recipes included — reported as the
+  /// `sim.detailed` MemStats counter (monitor slabs are `ntp.monitor`).
+  [[nodiscard]] std::uint64_t detailed_bytes() const noexcept;
 
   WorldConfig config_;
   net::Registry registry_;

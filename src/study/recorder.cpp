@@ -276,13 +276,21 @@ void Recorder::on_monlist_summary(const scan::MonlistSampleSummary& summary) {
   sum_.put_varint(summary.rate_limited);
 }
 
+namespace {
+
+/// The recorder's column bytes (gauge — the recorder only ever grows until
+/// to_archive()).
+util::MemStats::Counter& recorder_gauge() {
+  static auto& gauge = util::MemStats::instance().counter("study.recorder");
+  return gauge;
+}
+
+}  // namespace
+
 void Recorder::on_sample_end(int week) {
   tag(kTagEnd);
   put_week(end_, week);
-  // Week boundary: report the accumulated column bytes into the memory
-  // registry (gauge — the recorder only ever grows until to_archive()).
-  static auto& gauge = util::MemStats::instance().counter("study.recorder");
-  gauge.observe(column_bytes());
+  recorder_gauge().observe(column_bytes());
 }
 
 std::size_t Recorder::column_bytes() const noexcept {
@@ -295,6 +303,9 @@ std::size_t Recorder::column_bytes() const noexcept {
 
 util::ColumnArchive Recorder::to_archive() {
   flush_run();
+  // Also observed here, before the columns move out: a windowed run has no
+  // sample weeks, so on_sample_end never fires.
+  recorder_gauge().observe(column_bytes());
   util::ColumnArchive archive;
   archive.version = artifact_version_;
   archive.header = encode_header(header_);

@@ -18,7 +18,20 @@ namespace gorilla::util {
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via splitmix64.
 class Rng {
  public:
+  /// The generator's full state: saving it and resuming with from_state()
+  /// replays the exact draw sequence from that point.
+  using State = std::array<std::uint64_t, 4>;
+
   explicit Rng(std::uint64_t seed = kDefaultSeed) noexcept { reseed(seed); }
+
+  /// Resumes a generator at a state captured with state(). The all-zero
+  /// state is xoshiro's fixed point; pass only captured states.
+  [[nodiscard]] static Rng from_state(const State& state) noexcept {
+    Rng rng(0);
+    rng.state_ = state;
+    return rng;
+  }
+  [[nodiscard]] const State& state() const noexcept { return state_; }
 
   /// Default seed shared by tests and benches ("800 lb" in hex-ish homage).
   static constexpr std::uint64_t kDefaultSeed = 0x800'1b;
@@ -151,7 +164,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::array<std::uint64_t, 4> state_{};
+  State state_{};
 };
 
 /// Zipf(s) sampler over ranks 1..n — used for AS popularity, victim targeting

@@ -2,19 +2,116 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 
 namespace gorilla::ntp {
 namespace {
 
+// The generator as it stood before the draw/render split, kept verbatim
+// (argument evaluation order included) as the oracle the split must match
+// draw for draw.
+SystemVariables reference_make_system_variables(const std::string& system,
+                                                int compile_year, int stratum,
+                                                util::Rng& rng) {
+  SystemVariables v;
+  const int maj = 4;
+  const int min = compile_year >= 2010 ? 2 : 1;
+  const int patch = static_cast<int>(rng.uniform_int(0, 8));
+  char buf[128];
+  static constexpr const char* kMonths[] = {"Jan", "Feb", "Mar", "Apr",
+                                            "May", "Jun", "Jul", "Aug",
+                                            "Sep", "Oct", "Nov", "Dec"};
+  std::snprintf(buf, sizeof buf, "ntpd %d.%d.%dp%d@1.%04d-o %s %2d %d",
+                maj, min, static_cast<int>(rng.uniform_int(0, 8)), patch,
+                static_cast<int>(rng.uniform_int(1500, 2600)),
+                kMonths[rng.uniform(12)],
+                static_cast<int>(rng.uniform_int(1, 28)), compile_year);
+  v.version = buf;
+  v.system = system;
+  v.processor = system == "cisco" || system == "junos" ? "" : "x86_64";
+  v.stratum = stratum;
+  v.leap = stratum == kStratumUnsynchronized ? 3 : 0;
+  v.rootdelay_ms = rng.uniform_real(0.1, 60.0);
+  v.rootdisp_ms = rng.uniform_real(0.5, 120.0);
+  auto num = [&](double lo, double hi, int prec) {
+    char b[48];
+    std::snprintf(b, sizeof b, "%.*f", prec, rng.uniform_real(lo, hi));
+    return std::string(b);
+  };
+  char refid[32];
+  std::snprintf(refid, sizeof refid, "%d.%d.%d.%d",
+                static_cast<int>(rng.uniform_int(1, 223)),
+                static_cast<int>(rng.uniform_int(0, 255)),
+                static_cast<int>(rng.uniform_int(0, 255)),
+                static_cast<int>(rng.uniform_int(1, 254)));
+  char stamp[64];
+  std::snprintf(stamp, sizeof stamp,
+                "0x%08x.%08x  Fri, %s %2d 2014 %2d:%02d:%02d.%03d",
+                static_cast<unsigned>(rng.next() >> 36) | 0xd6000000u,
+                static_cast<unsigned>(rng.next() >> 32),
+                kMonths[rng.uniform(4)],
+                static_cast<int>(rng.uniform_int(1, 28)),
+                static_cast<int>(rng.uniform_int(0, 23)),
+                static_cast<int>(rng.uniform_int(0, 59)),
+                static_cast<int>(rng.uniform_int(0, 59)),
+                static_cast<int>(rng.uniform_int(0, 999)));
+  const bool terse = system == "cisco" || system == "junos" ||
+                     system == "vmkernel" || system == "qnx";
+  v.extras.emplace_back("refid", refid);
+  v.extras.emplace_back("reftime", stamp);
+  if (!terse) {
+    v.extras.emplace_back("clock", stamp);
+    v.extras.emplace_back("offset", num(-80.0, 80.0, 3));
+    v.extras.emplace_back("sys_jitter", num(0.0, 12.0, 3));
+    if (rng.chance(0.5)) {
+      v.extras.emplace_back("peer",
+                            std::to_string(rng.uniform_int(1000, 65000)));
+      v.extras.emplace_back("tc", std::to_string(rng.uniform_int(6, 10)));
+      v.extras.emplace_back("mintc", "3");
+      v.extras.emplace_back("frequency", num(-120.0, 120.0, 3));
+      v.extras.emplace_back("clk_jitter", num(0.0, 8.0, 3));
+      v.extras.emplace_back("clk_wander", num(0.0, 1.0, 3));
+      v.extras.emplace_back("ss_uptime", std::to_string(rng.uniform(9000000)));
+      v.extras.emplace_back("ss_reset", std::to_string(rng.uniform(900000)));
+      v.extras.emplace_back("ss_received",
+                            std::to_string(rng.uniform(50000000)));
+      v.extras.emplace_back("ss_badformat", std::to_string(rng.uniform(999)));
+      v.extras.emplace_back("ss_declined", std::to_string(rng.uniform(9999)));
+      v.extras.emplace_back("ss_limited", std::to_string(rng.uniform(999999)));
+      v.extras.emplace_back("ss_kodsent", std::to_string(rng.uniform(99999)));
+    }
+  }
+  return v;
+}
+
+void expect_same_variables(const SystemVariables& want,
+                           const SystemVariables& got) {
+  EXPECT_EQ(want.version, got.version);
+  EXPECT_EQ(want.system, got.system);
+  EXPECT_EQ(want.processor, got.processor);
+  EXPECT_EQ(want.stratum, got.stratum);
+  EXPECT_EQ(want.leap, got.leap);
+  EXPECT_EQ(want.rootdelay_ms, got.rootdelay_ms);
+  EXPECT_EQ(want.rootdisp_ms, got.rootdisp_ms);
+  EXPECT_EQ(want.extras, got.extras);
+  EXPECT_EQ(want.render(), got.render());
+}
+
+constexpr SystemPool kPools[] = {SystemPool::kAllNtp,
+                                 SystemPool::kAllAmplifiers, SystemPool::kMega,
+                                 SystemPool::kNonAmplifier};
+
 TEST(SystemDistributionTest, PoolsHaveDistinctLeaders) {
   // Table 2: the overall NTP pool is cisco-led; amplifiers are linux-led;
   // megas are linux/junos.
-  EXPECT_EQ(system_string_distribution(SystemPool::kAllNtp)[0].first, "cisco");
-  EXPECT_EQ(system_string_distribution(SystemPool::kAllAmplifiers)[0].first,
-            "linux");
-  EXPECT_EQ(system_string_distribution(SystemPool::kMega)[0].first, "linux");
-  EXPECT_EQ(system_string_distribution(SystemPool::kMega)[1].first, "junos");
+  auto leader = [](SystemPool pool, std::size_t rank) {
+    return system_name(system_string_distribution(pool)[rank].id);
+  };
+  EXPECT_EQ(leader(SystemPool::kAllNtp, 0), "cisco");
+  EXPECT_EQ(leader(SystemPool::kAllAmplifiers, 0), "linux");
+  EXPECT_EQ(leader(SystemPool::kMega, 0), "linux");
+  EXPECT_EQ(leader(SystemPool::kMega, 1), "junos");
 }
 
 TEST(SystemDistributionTest, SamplingTracksWeights) {
@@ -22,7 +119,8 @@ TEST(SystemDistributionTest, SamplingTracksWeights) {
   std::map<std::string, int> counts;
   constexpr int n = 50000;
   for (int i = 0; i < n; ++i) {
-    ++counts[sample_system_string(SystemPool::kAllNtp, rng)];
+    ++counts[std::string(
+        system_name(sample_system_id(SystemPool::kAllNtp, rng)))];
   }
   EXPECT_NEAR(counts["cisco"] / double(n), 0.484, 0.02);
   EXPECT_NEAR(counts["unix"] / double(n), 0.306, 0.02);
@@ -34,7 +132,8 @@ TEST(SystemDistributionTest, AmplifierPoolLinuxDominates) {
   int linux_count = 0;
   constexpr int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (sample_system_string(SystemPool::kAllAmplifiers, rng) == "linux") {
+    if (system_name(sample_system_id(SystemPool::kAllAmplifiers, rng)) ==
+        "linux") {
       ++linux_count;
     }
   }
@@ -81,6 +180,52 @@ TEST(MakeSystemVariablesTest, EmbedsIdentity) {
   EXPECT_EQ(vars.leap, 3);
   EXPECT_NE(vars.version.find("2009"), std::string::npos);
   EXPECT_NE(vars.version.find("ntpd "), std::string::npos);
+}
+
+TEST(SystemVariablesSplitTest, DrawStepAdvancesRngLikeReference) {
+  // Every system string, both compile-year branches and both strata kinds,
+  // over many seeds: the draw step alone must consume exactly the draws
+  // of the eager generator, rejection loops and the chance(0.5) included.
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    for (const auto name : kSystemNames) {
+      const std::string system(name);
+      const int year = seed % 2 == 0 ? 2003 : 2012;
+      const int stratum = seed % 3 == 0 ? kStratumUnsynchronized : 2;
+      util::Rng reference(seed);
+      util::Rng split(seed);
+      const auto want =
+          reference_make_system_variables(system, year, stratum, reference);
+      const auto draws = draw_system_variables(system, split);
+      ASSERT_EQ(reference.state(), split.state()) << system << " " << seed;
+      expect_same_variables(want,
+                            render_system_variables(system, year, stratum,
+                                                    draws));
+    }
+  }
+}
+
+TEST(SystemVariablesSplitTest, RecipeRendersTheEagerWorldSequence) {
+  // The world's per-server sequence, for all four pools: identity draws,
+  // then the variables. The recipe path must leave the RNG where eager
+  // building did, and re-render the same variables from its saved state.
+  for (const auto pool : kPools) {
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+      util::Rng reference(seed * 7919 + 1);
+      util::Rng split(seed * 7919 + 1);
+      for (int server = 0; server < 8; ++server) {
+        const std::string system(
+            system_name(sample_system_id(pool, reference)));
+        const auto want = reference_make_system_variables(
+            system, sample_compile_year(reference), sample_stratum(reference),
+            reference);
+        const SystemRecipe recipe = draw_system_recipe(pool, split);
+        ASSERT_EQ(reference.state(), split.state());
+        EXPECT_EQ(system_name(recipe.system_id), system);
+        EXPECT_EQ(recipe.stratum, want.stratum);
+        expect_same_variables(want, render_system_variables(recipe));
+      }
+    }
+  }
 }
 
 TEST(ExtractCompileYearTest, FindsTrailingYear) {

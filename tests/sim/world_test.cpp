@@ -4,7 +4,9 @@
 
 #include <set>
 
+#include "ntp/mode6.h"
 #include "sim/remediation.h"
+#include "util/mem_stats.h"
 
 namespace gorilla::sim {
 namespace {
@@ -226,6 +228,63 @@ TEST_F(WorldTest, EndHostShareOfLivePoolGrows) {
                 : 0.0;
   };
   EXPECT_GT(share_at(14), share_at(0) * 1.4);
+}
+
+/// FNV-1a over every detailed server's READVAR payload (the serialized
+/// response fragments) and reply TTL, in server order.
+std::uint64_t readvar_digest(const World& world, std::size_t& detailed) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  detailed = 0;
+  for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
+    const auto* server = world.detailed(i);
+    if (server == nullptr) continue;
+    ++detailed;
+    const auto vars = server->system_variables();
+    EXPECT_EQ(vars.stratum, server->config().stratum);
+    for (const auto& frag : ntp::make_readvar_response(vars, 1)) {
+      for (const auto b : ntp::serialize(frag)) mix(b);
+    }
+    mix(server->config().initial_ttl);
+  }
+  return h;
+}
+
+TEST(WorldReadvarTest, GoldenDigestsAtScale400) {
+  // Recorded when every world server still held eagerly rendered
+  // variables: rendering on demand from recipes must reproduce every
+  // payload byte for byte.
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  constexpr Golden kGolden[] = {
+      {util::Rng::kDefaultSeed, 0x28e3261755a76ebeULL},
+      {20140110, 0x297a481790e1cfb0ULL},
+  };
+  for (const auto& golden : kGolden) {
+    WorldConfig cfg;
+    cfg.scale = 400;
+    cfg.seed = golden.seed;
+    const World world(cfg);
+    std::size_t detailed = 0;
+    EXPECT_EQ(readvar_digest(world, detailed), golden.digest)
+        << "seed " << golden.seed;
+    EXPECT_EQ(detailed, 15288u);
+  }
+}
+
+TEST_F(WorldTest, DetailedTierIsAccountedInMemStats) {
+  auto& counter = util::MemStats::instance().counter("sim.detailed");
+  const std::uint64_t before = counter.live();
+  {
+    const World other{tiny_config()};
+    EXPECT_GT(counter.live(), before);
+  }
+  EXPECT_EQ(counter.live(), before);
 }
 
 }  // namespace

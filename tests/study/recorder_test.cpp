@@ -15,6 +15,7 @@
 #include "telemetry/flow.h"
 #include "telemetry/traffic.h"
 #include "util/columnar.h"
+#include "util/mem_stats.h"
 
 namespace gorilla::study {
 namespace {
@@ -216,6 +217,28 @@ TEST(RecorderTest, SaveLoadFileRoundTrip) {
   EXPECT_EQ(replayer.header(), test_header());
   EventSink null_sink;
   EXPECT_TRUE(replayer.replay(null_sink));
+}
+
+TEST(RecorderTest, FlowOnlyRecorderReportsItsColumnsAtSave) {
+  // A windowed run records flows but never ends a sample week, so the
+  // study.recorder gauge must be observed when the columns are finalized.
+  auto& gauge = util::MemStats::instance().counter("study.recorder");
+  gauge.observe(0);
+  Recorder recorder(test_header());
+  telemetry::FlowRecord flow;
+  flow.src = net::Ipv4Address(192, 0, 2, 1);
+  flow.dst = net::Ipv4Address(198, 51, 100, 200);
+  flow.packets = 10;
+  flow.bytes = 4680;
+  for (int i = 0; i < 100; ++i) {
+    flow.first = 86400 + i;
+    flow.last = flow.first + 30;
+    recorder.on_flow(flow, i % 3);
+  }
+  EXPECT_EQ(gauge.live(), 0u);
+  ASSERT_TRUE(recorder.save(testing::TempDir() + "recorder_flows.study"));
+  EXPECT_GT(gauge.live(), 0u);
+  EXPECT_GE(gauge.peak(), gauge.live());
 }
 
 TEST(RecorderTest, HeaderDistinguishesStudyShapes) {
