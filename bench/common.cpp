@@ -1,5 +1,7 @@
 #include "common.h"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +46,24 @@ long parse_positive(const char* text, const char* flag, long max_value) {
   return v;
 }
 
+/// Strict seed parse: any unsigned 64-bit decimal, 0 included. Rejects
+/// empty or non-numeric text, trailing junk, a sign, and out-of-range
+/// values (a mistyped `--seed abc` must not quietly run seed 0).
+std::uint64_t parse_seed(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    std::fprintf(stderr,
+                 "invalid value for --seed: '%s' (expected an unsigned "
+                 "64-bit decimal integer)\n",
+                 text);
+    std::exit(2);
+  }
+  return v;
+}
+
 void print_usage(std::FILE* out, const char* program) {
   std::fprintf(out,
                "usage: %s [--scale N] [--seed N] [--quick] [--jobs N]\n"
@@ -71,7 +91,7 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
       opt.scale = static_cast<std::uint32_t>(
           parse_positive(value("--scale"), "--scale", 1l << 30));
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value("--seed"), nullptr, 10);
+      opt.seed = parse_seed(value("--seed"));
     } else if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--csv") {

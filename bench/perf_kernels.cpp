@@ -19,6 +19,7 @@
 #include "util/block_codec.h"
 #include "util/bytes.h"
 #include "util/columnar.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace gorilla {
@@ -285,6 +286,20 @@ void BM_ColumnarCodecBlockDecompress(benchmark::State& state) {
                           static_cast<std::int64_t>(out.size()));
 }
 BENCHMARK(BM_ColumnarCodecBlockDecompress)->Arg(300000);
+
+// Artifact integrity: every replayed GORCOLv3 byte is checksummed twice
+// (section CRC at load, block CRC at decode), both passes of this kernel.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(7);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_ServerProbeRoundTrip(benchmark::State& state) {
   ntp::NtpServerConfig cfg;

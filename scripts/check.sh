@@ -24,7 +24,13 @@
 #   8. Compaction gate: the same fig03 study recorded as GORCOLv3 and as
 #      GORCOLv2 must land the v3 artifact at <=60% of the v2 bytes, with
 #      v3 replay stdout byte-identical to the live run at --jobs 1 and 3
-#      (DESIGN.md §3i).
+#      (DESIGN.md §3i). Then the artifact byte pin: fig03 --scale 400
+#      --quick --record must write exactly the bytes whose sha256 is in
+#      bench/golden/fig03_amplifier_counts.study.sha256, and both the live
+#      run and the replay of those bytes must print
+#      bench/golden/fig03_amplifier_counts.txt. Round trips alone would
+#      pass a codec or CRC change that reads back only what it wrote. A
+#      deliberate format change records both files again.
 #   9. Version-probing gate: the four benches that send mode 6 READVAR
 #      probes (tab02, fig04a, fig04c, fig10) must print exactly their
 #      checked-in bench/golden/*.txt at --scale 400 --quick. World servers
@@ -170,6 +176,29 @@ compaction_gate() {
     fi
   done
   echo "   replay stdout byte-identical to live at --jobs 1 and 3"
+
+  local golden=bench/golden/fig03_amplifier_counts
+  ./build/release/bench/fig03_amplifier_counts --scale 400 --quick \
+    --record "$work/pin.study" 2>/dev/null >"$work/pin_live.txt"
+  local want got
+  want=$(cut -d' ' -f1 "$golden.study.sha256")
+  got=$(sha256sum "$work/pin.study" | cut -d' ' -f1)
+  if [[ "$got" != "$want" ]]; then
+    echo "check.sh: FAIL — fig03 --scale 400 --quick artifact sha256 $got," \
+         "expected $want from $golden.study.sha256 (see $work)" >&2
+    exit 1
+  fi
+  ./build/release/bench/fig03_amplifier_counts --scale 400 --quick \
+    --replay "$work/pin.study" 2>/dev/null >"$work/pin_replay.txt"
+  local out
+  for out in pin_live pin_replay; do
+    if ! diff -u "$golden.txt" "$work/$out.txt"; then
+      echo "check.sh: FAIL — fig03 $out stdout differs from $golden.txt" >&2
+      exit 1
+    fi
+  done
+  echo "   artifact bytes match the pinned sha256; live and replayed stdout" \
+       "match $golden.txt"
   rm -rf "$work"
 }
 

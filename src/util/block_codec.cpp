@@ -109,45 +109,91 @@ std::vector<std::uint8_t> lz_compress_block(std::span<const std::uint8_t> in,
   return out;
 }
 
-/// Decodes one LZ block body, appending exactly `raw_len` bytes to `out`.
-/// On any inconsistency `out` is restored to its entry size.
+/// Fixed-size copy between non-overlapping ranges; a constant count
+/// compiles to one unaligned load/store pair per 8 or 16 bytes.
+template <std::size_t N>
+void copy_fixed(std::uint8_t* dst, const std::uint8_t* src) noexcept {
+  std::copy_n(src, N, dst);
+}
+
+/// Copies a `len`-byte match from `off` bytes behind `dst`; `room` counts
+/// the destination bytes from `dst` to the end of the window (>= len).
+///
+/// Offsets below 8 are run extensions whose source overlaps the bytes this
+/// copy produces, so they go byte by byte and each byte sees the one just
+/// written. From offset 8 (16) up, an 8-byte (16-byte) stride never reads
+/// a byte it has not yet written. With kBlockDecodeSlack bytes of room
+/// past the match, the last stride runs over its end (at most 15 bytes,
+/// rewritten by the next sequence); closer to the end of the destination
+/// the copy is exact: whole 8-byte strides, then a tail shorter than the
+/// offset.
+void copy_match(std::uint8_t* dst, std::size_t off, std::size_t len,
+                std::size_t room) noexcept {
+  const std::uint8_t* src = dst - off;
+  if (off < 8) {
+    for (std::size_t k = 0; k < len; ++k) dst[k] = src[k];
+    return;
+  }
+  const std::uint8_t* const end = dst + len;
+  if (room - len >= kBlockDecodeSlack) {
+    if (off >= 16) {
+      do {
+        copy_fixed<16>(dst, src);
+        dst += 16;
+        src += 16;
+      } while (dst < end);
+    } else {
+      do {
+        copy_fixed<8>(dst, src);
+        dst += 8;
+        src += 8;
+      } while (dst < end);
+    }
+    return;
+  }
+  for (; end - dst >= 8; dst += 8, src += 8) copy_fixed<8>(dst, src);
+  std::copy(src, src + (end - dst), dst);
+}
+
+/// Decodes one LZ block body into dst[0, raw_len) (dst.size() >= raw_len).
+/// dst[raw_len, dst.size()) is over-copy slack: short literal runs and
+/// matches are copied in whole strides while at least kBlockDecodeSlack
+/// bytes of dst remain past them, and every copy is exact after that, so
+/// nothing outside dst is ever written. Every bound is checked before the
+/// copy it guards; false on any inconsistency (dst contents unspecified).
 [[nodiscard]] bool lz_decompress_block(std::span<const std::uint8_t> body,
                                        std::size_t raw_len,
-                                       std::vector<std::uint8_t>& out) {
-  const std::size_t base = out.size();
-  out.resize(base + raw_len);
+                                       std::span<std::uint8_t> dst) {
+  const std::uint8_t* const in = body.data();
+  std::uint8_t* const out = dst.data();
   const std::size_t iend = body.size();
-  const std::size_t oend = base + raw_len;
   std::size_t ip = 0;
-  std::size_t op = base;
-  bool ok = false;
+  std::size_t op = 0;
   while (ip < iend) {
-    const std::uint8_t tok = body[ip++];
+    const std::uint8_t tok = in[ip++];
     std::size_t lit = tok >> 4;
-    if (lit == 15 && !read_ext_len(body, ip, lit)) break;
-    if (lit > iend - ip || lit > oend - op) break;
-    std::copy_n(body.begin() + static_cast<std::ptrdiff_t>(ip), lit,
-                out.begin() + static_cast<std::ptrdiff_t>(op));
+    if (lit == 15 && !read_ext_len(body, ip, lit)) return false;
+    if (lit > iend - ip || lit > raw_len - op) return false;
+    if (lit <= 16 && iend - ip >= 16 && dst.size() - op >= 16) {
+      copy_fixed<16>(out + op, in + ip);
+    } else {
+      std::copy_n(in + ip, lit, out + op);
+    }
     ip += lit;
     op += lit;
-    if (ip == iend) {  // literals-only tail: the block ends here
-      ok = op == oend;
-      break;
-    }
+    if (ip == iend) return op == raw_len;  // literals-only tail ends it
     const auto offset = load_u16le(body, ip);
-    if (!offset) break;
+    if (!offset) return false;
     ip += 2;
     std::size_t mlen = tok & 0xf;
-    if (mlen == 15 && !read_ext_len(body, ip, mlen)) break;
+    if (mlen == 15 && !read_ext_len(body, ip, mlen)) return false;
     mlen += kMinMatch;
     const std::size_t off = *offset;
-    if (off == 0 || off > op - base || mlen > oend - op) break;
-    // Byte-at-a-time on purpose: off < mlen self-referential copies (run
-    // extension) must observe the bytes this same loop just produced.
-    for (std::size_t k = 0; k < mlen; ++k, ++op) out[op] = out[op - off];
+    if (off == 0 || off > op || mlen > raw_len - op) return false;
+    copy_match(out + op, off, mlen, dst.size() - op);
+    op += mlen;
   }
-  if (!ok) out.resize(base);
-  return ok;
+  return false;  // a block always ends on a literal run
 }
 
 struct BlockFrame {
@@ -204,29 +250,39 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> raw) {
   return out;
 }
 
-bool BlockCursor::next(std::vector<std::uint8_t>& out) {
-  if (damaged_ || off_ == stored_.size()) return false;
+std::size_t BlockCursor::next(std::span<std::uint8_t> dst) {
+  if (damaged_ || off_ == stored_.size()) return 0;
   const auto frame = parse_frame(stored_, off_);
-  if (!frame) {
-    damaged_ = true;
-    return false;
-  }
-  const auto body = stored_.subspan(off_ + kBlockHeaderSize, frame->body_len);
-  if (crc32(body) != frame->crc) {
-    damaged_ = true;
-    return false;
-  }
-  bool ok = true;
-  if (frame->method == 0) {
-    append_bytes(out, body);
-  } else {
-    ok = lz_decompress_block(body, frame->raw_len, out);
+  bool ok = frame && frame->raw_len <= dst.size();
+  if (ok) {
+    const auto body =
+        stored_.subspan(off_ + kBlockHeaderSize, frame->body_len);
+    ok = crc32(body) == frame->crc;
+    if (ok && frame->method == 0) {
+      std::copy(body.begin(), body.end(), dst.begin());
+    } else if (ok) {
+      ok = lz_decompress_block(body, frame->raw_len, dst);
+    }
   }
   if (!ok) {
     damaged_ = true;
-    return false;
+    return 0;
   }
   off_ += kBlockHeaderSize + frame->body_len;
+  return frame->raw_len;
+}
+
+bool BlockCursor::next(std::vector<std::uint8_t>& out) {
+  if (damaged_ || off_ == stored_.size()) return false;
+  // Size the append from the header alone; next(span) re-parses the frame
+  // and makes every check. No slack: the tail of the block copies exactly.
+  const auto frame = parse_frame(stored_, off_);
+  const std::size_t base = out.size();
+  out.resize(base + (frame ? frame->raw_len : 0));
+  if (next(std::span<std::uint8_t>(out).subspan(base)) == 0) {
+    out.resize(base);
+    return false;
+  }
   return true;
 }
 

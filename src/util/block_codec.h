@@ -29,6 +29,13 @@ inline constexpr std::size_t kBlockRawSize = 64 * 1024;
 /// CRC-32 of the stored body, u8 method (0 = stored verbatim, 1 = LZ).
 inline constexpr std::size_t kBlockHeaderSize = 13;
 
+/// Destination bytes past a block's raw length that let the LZ decoder
+/// copy short literal runs and matches in whole 16-byte strides all the
+/// way to the end of the block. The decoder writes there but never past
+/// the destination it is given; without the slack the last few copies of
+/// a block are exact instead.
+inline constexpr std::size_t kBlockDecodeSlack = 16;
+
 /// Compresses `raw` into a self-framed block stream. Empty input yields an
 /// empty stream. Output is deterministic; incompressible blocks fall back
 /// to stored-verbatim, so expansion is bounded by the per-block header.
@@ -66,8 +73,17 @@ class BlockCursor {
       std::span<const std::uint8_t> stored) noexcept
       : stored_(stored) {}
 
-  /// Decodes the next block, appending its raw bytes to `out`. False at
-  /// the end of the stream or on damage (check damaged() to distinguish).
+  /// Decodes the next block into the front of `dst`, a window the caller
+  /// has already allocated, and returns its raw length. `dst` needs room
+  /// for the block (at most kBlockRawSize bytes); with kBlockDecodeSlack
+  /// more, the decoder may use them as over-copy slack. 0 at the end of
+  /// the stream or on damage (check damaged() to distinguish); a window too
+  /// small for the block counts as damage.
+  std::size_t next(std::span<std::uint8_t> dst);
+
+  /// Decodes the next block, appending exactly its raw bytes to `out`.
+  /// False at the end of the stream or on damage; `out` then keeps its
+  /// size.
   bool next(std::vector<std::uint8_t>& out);
 
   /// True when every stored byte was consumed without damage.

@@ -60,6 +60,15 @@ namespace gorilla::util {
          (std::uint32_t{in[offset + 3]} << 24);
 }
 
+/// Little-endian u32 from exactly four bytes. The fixed extent moves the
+/// bounds check to the caller's first<4>()/subspan, so a loop that already
+/// knows its stride fits carries no per-load branch.
+[[nodiscard]] constexpr std::uint32_t load_u32le(
+    std::span<const std::uint8_t, 4> in) noexcept {
+  return std::uint32_t{in[0]} | (std::uint32_t{in[1]} << 8) |
+         (std::uint32_t{in[2]} << 16) | (std::uint32_t{in[3]} << 24);
+}
+
 /// LEB128 varint decode at `pos`: the one decode kernel shared by every
 /// GORCOL container version (v1/v2 flat readers and the v3 streaming
 /// decoder). On success stores the value and returns the encoded length

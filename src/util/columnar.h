@@ -15,9 +15,11 @@
 // memory for flat-decode speed.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -88,7 +90,7 @@ class ColumnWriter {
 ///
 /// Two sources: a flat borrowed span (v1/v2 payloads, inflated sections),
 /// or a GORCOLv3 block stream decoded one block at a time into an internal
-/// scratch window — the streaming path borrows the stored bytes and never
+/// window — the streaming path borrows the stored bytes and never
 /// materializes the whole section. Values split across a block boundary
 /// are handled by carrying the unread tail (at most a few bytes) into the
 /// next window.
@@ -102,8 +104,8 @@ class ColumnReader {
   ColumnReader(BlocksTag, std::span<const std::uint8_t> stored) noexcept
       : cursor_(stored), streaming_(true) {}
 
-  // The scratch window is self-referential: moving is safe (vector storage
-  // is stable across moves), copying would alias another reader's scratch.
+  // The window is self-referential: moving is safe (the heap buffer stays
+  // put across moves), copying would alias another reader's window.
   ColumnReader(const ColumnReader&) = delete;
   ColumnReader& operator=(const ColumnReader&) = delete;
   ColumnReader(ColumnReader&&) noexcept = default;
@@ -176,28 +178,36 @@ class ColumnReader {
     return true;
   }
 
-  /// Carries the unread tail to the front of the scratch buffer and
-  /// decodes the next block behind it. False at stream end or damage.
+  /// Moves the unread tail to the front of the window and decodes the
+  /// next block straight behind it. False at stream end or damage.
   bool refill() noexcept {
     if (!streaming_ || bad_) return false;
-    if (win_.data() == scratch_.data()) {
-      scratch_.erase(scratch_.begin(),
-                     scratch_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    } else {
-      // First refill: the window is still the (empty) constructor span.
-      scratch_.assign(win_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                      win_.end());
+    if (!window_) {
+      // Allocated once per reader and never zero-filled: the decoder
+      // writes every byte the reader is then allowed to see.
+      window_ = std::make_unique_for_overwrite<std::uint8_t[]>(kWindowBytes);
     }
+    const std::size_t tail = win_.size() - pos_;
+    if (pos_ > 0) {
+      std::copy(win_.begin() + static_cast<std::ptrdiff_t>(pos_), win_.end(),
+                window_.get());
+    }
+    const std::size_t got =
+        cursor_.next(std::span<std::uint8_t>(window_.get() + tail,
+                                              kWindowBytes - tail));
+    win_ = std::span<const std::uint8_t>(window_.get(), tail + got);
     pos_ = 0;
-    const std::size_t before = scratch_.size();
-    const bool got = cursor_.next(scratch_);
-    win_ = scratch_;
-    return got && scratch_.size() > before;
+    return got > 0;
   }
+
+  /// A refill carries fewer than 10 unread bytes (reads ask for at most a
+  /// 10-byte varint), then one block, then the decoder's over-copy slack.
+  static constexpr std::size_t kWindowBytes =
+      16 + kBlockRawSize + kBlockDecodeSlack;
 
   std::span<const std::uint8_t> win_;
   std::size_t pos_ = 0;
-  std::vector<std::uint8_t> scratch_;
+  std::unique_ptr<std::uint8_t[]> window_;
   BlockCursor cursor_{std::span<const std::uint8_t>{}};
   bool streaming_ = false;
   bool bad_ = false;
