@@ -104,5 +104,9 @@ int run(const bench::Options& opt) {
 }  // namespace gorilla
 
 int main(int argc, char** argv) {
-  return gorilla::run(gorilla::bench::parse_options(argc, argv, 80));
+  const auto opt = gorilla::bench::parse_options(argc, argv, 80);
+  gorilla::bench::require_live_run(
+      opt,
+      "it runs one study per loss rate, and an artifact holds one study");
+  return gorilla::run(opt);
 }

@@ -154,6 +154,16 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
   return opt;
 }
 
+void require_live_run(const Options& opt, const char* why) {
+  const char* flag = !opt.replay.empty()   ? "--replay"
+                     : opt.resume          ? "--resume"
+                     : !opt.record.empty() ? "--record"
+                                           : nullptr;
+  if (flag == nullptr) return;
+  std::fprintf(stderr, "%s is not supported by this bench: %s\n", flag, why);
+  std::exit(2);
+}
+
 bool maybe_write_csv(const Options& opt, const std::string& name,
                      const util::CsvDocument& doc) {
   if (opt.csv_dir.empty()) return false;

@@ -77,6 +77,13 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
 [[nodiscard]] Options parse_options(int argc, char** argv,
                                     std::uint32_t default_scale = 40);
 
+/// For benches whose stdout a recorded study cannot reproduce: they probe
+/// the world after the study (a replayed world was never simulated) or run
+/// several studies per process (an artifact holds one). Exits 2 before any
+/// output, naming the flag and `why` on stderr, when --record, --replay or
+/// --resume is set.
+void require_live_run(const Options& opt, const char* why);
+
 /// Prints the standard provenance header every bench emits.
 void print_header(const std::string& figure, const Options& opt);
 

@@ -141,5 +141,10 @@ int run(const bench::Options& opt) {
 }  // namespace gorilla
 
 int main(int argc, char** argv) {
-  return gorilla::run(gorilla::bench::parse_options(argc, argv, 40));
+  const auto opt = gorilla::bench::parse_options(argc, argv, 40);
+  gorilla::bench::require_live_run(
+      opt,
+      "it probes the world after the study, and a replayed world was "
+      "never simulated");
+  return gorilla::run(opt);
 }

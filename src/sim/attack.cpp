@@ -768,6 +768,19 @@ void AttackEngine::run_days(int from, int to, ShardedExecutor* executor,
   // path IS the sequential engine — DESIGN.md §3d).
   ShardedExecutor inline_executor(nullptr);
   ShardedExecutor& exec = executor != nullptr ? *executor : inline_executor;
+  // At K>1 the merge keeps each day's monitor deltas, bucketed by server
+  // range, instead of applying them on the calling thread. Nothing reads a
+  // table inside a window (shards estimate sizes from the window-start
+  // snapshot), so applying every server's deltas in day order after the
+  // merge leaves each table exactly as the inline apply would, and the
+  // ranges own disjoint tables, so they apply in parallel.
+  constexpr std::size_t kApplyRange = 1024;
+  std::vector<std::vector<std::pair<std::uint32_t, ntp::MonitorDelta>>>
+      deferred;
+  if (exec.jobs() > 1) {
+    deferred.resize((world_.servers().size() + kApplyRange - 1) /
+                    kApplyRange);
+  }
   exec.run_ordered(
       static_cast<std::size_t>(to - from), /*chunk_size=*/1,
       [this, from, &plan, scans, darknet_geometry,
@@ -781,7 +794,27 @@ void AttackEngine::run_days(int from, int to, ShardedExecutor* executor,
         }
         return result;
       },
-      [this](DayShardResult result) { consume_day(result); });
+      [this, &deferred](DayShardResult result) {
+        if (!deferred.empty()) {
+          for (auto& [server_index, delta] : result.monitor_deltas) {
+            deferred[server_index / kApplyRange].emplace_back(
+                server_index, std::move(delta));
+          }
+          result.monitor_deltas.clear();
+        }
+        consume_day(result);
+      });
+  exec.parallel_for(
+      deferred.size(), /*chunk_size=*/1,
+      [this, &deferred](std::size_t begin, std::size_t end) {
+        for (std::size_t range = begin; range < end; ++range) {
+          for (const auto& [server_index, delta] : deferred[range]) {
+            if (auto* server = world_.detailed(server_index)) {
+              server->monitor().apply_delta(delta);
+            }
+          }
+        }
+      });
 }
 
 }  // namespace gorilla::sim

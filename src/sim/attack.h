@@ -14,7 +14,7 @@
 // Parallel execution (DESIGN.md §3d): every day is a pure function of
 // (seed, day) — its RNG is a splitmix substream derived from the day index,
 // and all its bus emissions and monitor-table mutations are buffered into a
-// DayShardResult on the worker, then applied on the calling thread in
+// DayShardResult on the worker, then merged on the calling thread in
 // ascending day order. run_days() fans whole days out over a
 // ShardedExecutor; output is bit-identical for any --jobs value.
 #pragma once
@@ -195,7 +195,11 @@ class AttackEngine {
   /// `executor`, days simulate in parallel on workers — each buffering its
   /// bus emissions and monitor-table deltas — and merge on the calling
   /// thread in ascending day order, bit-identical to the inline path for
-  /// any job count. When `scans` is given, each day's scan traffic joins
+  /// any job count. At K>1 the merge defers the monitor deltas and, once
+  /// the window's days are merged, applies each server's deltas in day
+  /// order in parallel over server-index ranges; no table is read inside a
+  /// window, so the tables end exactly as the inline apply leaves them.
+  /// When `scans` is given, each day's scan traffic joins
   /// that day's shard (events ordered after the attack events, matching the
   /// sequential per-day interleave); `darknet_geometry`/`vantage_geometry`
   /// are consulted for geometry only, as in ScanTraffic::run_day.
@@ -273,7 +277,8 @@ class AttackEngine {
   /// Pure in (seed, day, plan): the worker-side half of a day.
   [[nodiscard]] DayShardResult simulate_day(int day,
                                             const DayWindowPlan& plan) const;
-  /// Calling-thread half: applies deltas, replays events, merges state.
+  /// Calling-thread half: applies the deltas it still holds, replays
+  /// events, merges state.
   void consume_day(DayShardResult& result);
 
   std::uint32_t pick_booter(util::Rng& rng) const;

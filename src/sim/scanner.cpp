@@ -160,9 +160,9 @@ void ScanTraffic::run_day(
   }
 }
 
-template <typename BeginServer, typename Emit>
+template <typename Emit>
 void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
-                                         BeginServer&& begin_server,
+                                         std::size_t begin, std::size_t end,
                                          Emit&& emit) {
   // Research scanners sweep everything weekly: every responding server's
   // monitor table gains (or refreshes) one probe entry per active scanner.
@@ -180,8 +180,9 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
     return r;
   }();
 
-  for (const auto ai : world_.amplifier_indices()) {
-    begin_server();
+  const auto& amplifiers = world_.amplifier_indices();
+  for (std::size_t slot = begin; slot < end; ++slot) {
+    const std::uint32_t ai = amplifiers[slot];
     auto* server = world_.detailed(ai);
     if (server == nullptr) continue;
     int actor_index = 0;
@@ -234,50 +235,40 @@ void ScanTraffic::seed_monitor_tables(int week, ShardedExecutor* executor) {
       config_.seed, (std::uint64_t{1} << 32) +
                         static_cast<std::uint64_t>(
                             static_cast<std::uint32_t>(week)));
+  const auto observe = [](ntp::NtpServer* server, net::Ipv4Address address,
+                          std::uint16_t port, std::uint8_t mode,
+                          util::SimTime when) {
+    server->monitor().observe(address, port, mode, ntp::kNtpVersion, when);
+  };
+  const std::size_t slots = world_.amplifier_indices().size();
   if (executor == nullptr || executor->jobs() <= 1) {
-    plan_seed_observations(
-        week, rng, [] {},
-        [](ntp::NtpServer* server, net::Ipv4Address address,
-           std::uint16_t port, std::uint8_t mode, util::SimTime when) {
-          server->monitor().observe(address, port, mode, ntp::kNtpVersion,
-                                    when);
-        });
+    plan_seed_observations(week, rng, 0, slots, observe);
     return;
   }
 
-  // Plan/apply split: the RNG plan is drawn sequentially above (identical
-  // draw order to the inline path); only the monitor-table writes fan out.
-  // Each server's entries live in one contiguous slice and each chunk owns
-  // whole servers, so no two workers ever touch the same monitor table and
-  // the per-server observe order matches the sequential engine exactly.
-  struct Planned {
-    ntp::NtpServer* server = nullptr;
-    net::Ipv4Address address;
-    std::uint16_t port = 0;
-    std::uint8_t mode = 0;
-    util::SimTime when = 0;
-  };
-  std::vector<Planned> plan;
-  std::vector<std::size_t> offsets;
-  offsets.reserve(world_.amplifier_indices().size() + 1);
-  plan_seed_observations(
-      week, rng, [&plan, &offsets] { offsets.push_back(plan.size()); },
-      [&plan](ntp::NtpServer* server, net::Ipv4Address address,
-              std::uint16_t port, std::uint8_t mode, util::SimTime when) {
-        plan.push_back(Planned{server, address, port, mode, when});
-      });
-  offsets.push_back(plan.size());
-
+  // Checkpointed seeding: a draw-only pass walks the same stream on this
+  // thread and records the generator state at every chunk boundary; each
+  // chunk then resumes from its checkpoint on a worker and observes
+  // inline. Draws never depend on table contents, so a resumed chunk makes
+  // exactly the inline path's draws, and each chunk owns whole servers, so
+  // no two workers touch one table and every table sees the sequential
+  // engine's observe order.
+  constexpr std::size_t kChunk = 256;
+  std::vector<util::Rng::State> checkpoints;
+  checkpoints.reserve((slots + kChunk - 1) / kChunk);
+  for (std::size_t b = 0; b < slots; b += kChunk) {
+    checkpoints.push_back(rng.state());
+    plan_seed_observations(week, rng, b, std::min(slots, b + kChunk),
+                           [](ntp::NtpServer*, net::Ipv4Address,
+                              std::uint16_t, std::uint8_t, util::SimTime) {});
+  }
   executor->parallel_for(
-      offsets.size() - 1, /*chunk_size=*/256,
-      [&plan, &offsets](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = offsets[i]; j < offsets[i + 1]; ++j) {
-            const auto& p = plan[j];
-            p.server->monitor().observe(p.address, p.port, p.mode,
-                                        ntp::kNtpVersion, p.when);
-          }
-        }
+      slots, kChunk,
+      [this, week, &checkpoints, observe](std::size_t begin,
+                                          std::size_t end) {
+        util::Rng chunk_rng =
+            util::Rng::from_state(checkpoints[begin / kChunk]);
+        plan_seed_observations(week, chunk_rng, begin, end, observe);
       });
 }
 

@@ -10,6 +10,7 @@
 // (where §7.2 reads their TTLs: research/malicious scanning is Linux-built).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -86,10 +87,11 @@ class ScanTraffic {
   /// cheaper than per-day per-server observation). The plan draws from a
   /// pure (seed, week) substream, independent of the day streams.
   ///
-  /// With a (multi-job) executor, the RNG plan is drawn sequentially —
-  /// burning exactly the draws of the inline path — and only the per-server
-  /// monitor-table writes fan out, each server owned by one chunk; the
-  /// result is bit-identical for any job count.
+  /// With a (multi-job) executor, a draw-only pass records the RNG state
+  /// at every 256-slot chunk boundary, and the chunks then resume from
+  /// those checkpoints and write their servers' tables in parallel, each
+  /// server owned by one chunk; the result is bit-identical for any job
+  /// count.
   void seed_monitor_tables(int week, ShardedExecutor* executor = nullptr);
 
   [[nodiscard]] const std::vector<ScanActor>& actors() const noexcept {
@@ -100,14 +102,16 @@ class ScanTraffic {
   [[nodiscard]] std::uint64_t darknet_packets_per_pass(
       const ScanActor& actor, const telemetry::DarknetTelescope& t) const;
 
-  /// The single source of the seed_monitor_tables() RNG stream: walks every
-  /// amplifier slot, calling `begin_server()` once per slot (before any
-  /// draws) and `emit(server, address, port, mode, when)` per planned
-  /// monitor-table observation. Both the inline and the plan/apply paths
-  /// run through here, so their draw order cannot diverge.
-  template <typename BeginServer, typename Emit>
-  void plan_seed_observations(int week, util::Rng& rng,
-                              BeginServer&& begin_server, Emit&& emit);
+  /// The single source of the seed_monitor_tables() RNG stream: walks the
+  /// amplifier slots [begin, end) of amplifier_indices(), drawing from
+  /// `rng`, and calls `emit(server, address, port, mode, when)` per planned
+  /// monitor-table observation. The stream position after a slot depends
+  /// only on the draws before it, so a walk resumed from the state saved at
+  /// `begin` continues the full walk exactly; the inline path, the
+  /// draw-only checkpoint pass and every resumed chunk run through here.
+  template <typename Emit>
+  void plan_seed_observations(int week, util::Rng& rng, std::size_t begin,
+                              std::size_t end, Emit&& emit);
 
   World& world_;
   ScanTrafficConfig config_;

@@ -1,7 +1,8 @@
 // ShardedExecutor unit contract (fixed shard boundaries, ordered merge,
 // inline fallback) plus the determinism-merge acceptance test: a full
-// StudyPipeline run is bit-identical for K ∈ {1, 2, 7} worker threads and
-// across two consecutive runs at the same K.
+// StudyPipeline run — bus observables and every monitor table — is
+// bit-identical for K ∈ {1, 2, 7} worker threads and across two
+// consecutive runs at the same K.
 #include "sim/sharded_executor.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "common.h"
+#include "sim/scanner.h"
+#include "sim/world.h"
 #include "telemetry/flow.h"
 #include "util/thread_pool.h"
 #include "util/time.h"
@@ -244,6 +247,31 @@ void mix_flows(Fingerprint& fp, const telemetry::FlowCollector& vantage) {
   }
 }
 
+/// Every detailed server's monitor table as a dump at `now`. The tables are
+/// the one observable the K>1 engine writes after the ordered merge
+/// (seeding chunks, the deferred attack-day apply), so a wrong per-table
+/// write order shows here even when every bus event matches.
+void mix_monitor_tables(Fingerprint& fp, const World& world,
+                        util::SimTime now) {
+  for (const auto ai : world.amplifier_indices()) {
+    const auto* server = world.detailed(ai);
+    if (server == nullptr) continue;
+    const auto entries =
+        server->monitor().dump(now, world.servers()[ai].home_address);
+    fp.mix((std::uint64_t{ai} << 32) | entries.size());
+    for (const auto& e : entries) {
+      fp.mix(e.address.value());
+      fp.mix((std::uint64_t{e.avg_interval} << 32) | e.last_seen);
+      fp.mix(e.count);
+      fp.mix((std::uint64_t{e.port} << 16) | (std::uint64_t{e.mode} << 8) |
+             e.version);
+    }
+  }
+}
+
+/// A time after every simulated day, so no dump age clamps to 0.
+constexpr util::SimTime kDumpTime = 400 * util::kSecondsPerDay;
+
 Fingerprint run_pipeline(int jobs) {
   bench::Options opt;
   opt.scale = 400;
@@ -286,6 +314,7 @@ Fingerprint run_pipeline(int jobs) {
     fp.mix(static_cast<std::uint64_t>(day));
     fp.mix(scanners);
   }
+  mix_monitor_tables(fp, *pipeline.world, kDumpTime);
   return fp;
 }
 
@@ -337,6 +366,7 @@ Fingerprint run_attack_window(int jobs) {
     fp.mix(static_cast<std::uint64_t>(day));
     fp.mix(scanners);
   }
+  mix_monitor_tables(fp, *run.world, kDumpTime);
   return fp;
 }
 
@@ -349,6 +379,34 @@ TEST(ShardedPipelineTest, AttackDayShardsByteIdenticalAcrossJobCounts) {
 
 TEST(ShardedPipelineTest, AttackDayShardsStableAcrossRepeatRuns) {
   EXPECT_EQ(run_attack_window(7), run_attack_window(7));
+}
+
+// --- Checkpointed seeding: chunks resume the week's stream mid-walk. ---
+/// Seeds weeks 0-2 into a fresh 1:400 world on a K-job executor and
+/// fingerprints every detailed table after each week.
+Fingerprint seed_weeks(int jobs) {
+  WorldConfig world_cfg;
+  world_cfg.scale = 400;
+  World world(world_cfg);
+  // Several 256-slot chunks, so most chunks start from a checkpoint.
+  EXPECT_GT(world.amplifier_indices().size(), 4u * 256u);
+  ScanTraffic scans(world, ScanTrafficConfig{});
+  std::unique_ptr<util::ThreadPool> pool;
+  if (jobs > 1) pool = std::make_unique<util::ThreadPool>(jobs);
+  ShardedExecutor exec(pool.get());
+  Fingerprint fp;
+  for (int week = 0; week < 3; ++week) {
+    scans.seed_monitor_tables(week, &exec);
+    mix_monitor_tables(fp, world, kDumpTime);
+  }
+  return fp;
+}
+
+TEST(ShardedPipelineTest, SeedingCheckpointsMatchInline) {
+  const Fingerprint k1 = seed_weeks(1);
+  EXPECT_GT(k1.items, 1000u);
+  EXPECT_EQ(k1, seed_weeks(4));
+  EXPECT_EQ(k1, seed_weeks(7));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "util/arena.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -130,6 +132,77 @@ TEST(ArenaTest, ConcurrentAllocationsDoNotOverlap) {
     ASSERT_NE(ptrs[i], nullptr);
     EXPECT_EQ(ptrs[i][0], static_cast<std::uint32_t>(i));
   }
+}
+
+TEST(ArenaTest, CrossThreadRecycleAndReuseKeepAccountingExact) {
+  // Storage allocated on one set of threads is recycled and reused on
+  // another: each thread works in its own shard, so recycled storage must
+  // land on the recycling thread's free lists, serve its next requests
+  // without new blocks, and leave every counter exact.
+  MemStats::Counter blocks;
+  MemStats::Counter requests;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  constexpr std::size_t kBytes = 96;
+  const auto total = static_cast<std::size_t>(kThreads * kPerThread);
+  {
+    Arena arena(&blocks, 4096, &requests);
+    std::vector<std::uint32_t*> ptrs(total);
+    const auto on_threads = [&](auto body) {
+      std::vector<std::thread> workers;
+      workers.reserve(kThreads);
+      for (int t = 0; t < kThreads; ++t) workers.emplace_back(body, t);
+      for (auto& w : workers) w.join();
+    };
+    const auto slot = [](int t, int i) {
+      return static_cast<std::size_t>(t * kPerThread + i);
+    };
+
+    on_threads([&](int t) {
+      for (int i = 0; i < kPerThread; ++i) {
+        ptrs[slot(t, i)] = arena.allocate_array<std::uint32_t>(kBytes / 4);
+      }
+    });
+    EXPECT_EQ(requests.live(), total * kBytes);
+    const std::size_t owned = arena.allocated_bytes();
+    EXPECT_EQ(blocks.live(), owned);
+    const std::vector<std::uint32_t*> first(ptrs);
+
+    // New threads recycle their neighbour's allocations, then allocate as
+    // many again: every request is served from the free lists just filled.
+    on_threads([&](int t) {
+      const int from = (t + 1) % kThreads;
+      for (int i = 0; i < kPerThread; ++i) {
+        arena.recycle_array(ptrs[slot(from, i)], kBytes / 4);
+      }
+      for (int i = 0; i < kPerThread; ++i) {
+        std::uint32_t* p = arena.allocate_array<std::uint32_t>(kBytes / 4);
+        p[0] = static_cast<std::uint32_t>(slot(from, i));
+        ptrs[slot(from, i)] = p;
+      }
+    });
+    EXPECT_EQ(arena.allocated_bytes(), owned);
+    EXPECT_EQ(blocks.live(), owned);
+    EXPECT_EQ(requests.live(), total * kBytes);
+    // The reused storage is exactly the first round's, with no two
+    // allocations aliased.
+    for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(ptrs[i][0], i);
+    auto sorted_first = first;
+    auto sorted_now = ptrs;
+    std::sort(sorted_first.begin(), sorted_first.end());
+    std::sort(sorted_now.begin(), sorted_now.end());
+    EXPECT_EQ(sorted_now, sorted_first);
+
+    on_threads([&](int t) {
+      for (int i = 0; i < kPerThread; ++i) {
+        arena.recycle_array(ptrs[slot(t, i)], kBytes / 4);
+      }
+    });
+    EXPECT_EQ(requests.live(), 0u);
+    EXPECT_EQ(requests.peak(), total * kBytes);
+  }
+  EXPECT_EQ(blocks.live(), 0u);
+  EXPECT_EQ(requests.live(), 0u);
 }
 
 }  // namespace
